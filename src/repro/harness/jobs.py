@@ -37,8 +37,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
-import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,7 +45,12 @@ from typing import Any
 
 from repro.harness.session import Session, SessionResult
 from repro.harness.spec import ExperimentSpec
-from repro.harness.store import ResultStore, report_from_payload, report_to_payload
+from repro.harness.store import (
+    ResultStore,
+    report_from_payload,
+    report_to_payload,
+    write_json_atomic,
+)
 from repro.obs.metrics import DEFAULT_HOST_SECONDS_BUCKETS, MetricsRegistry
 from repro.perf.clock import host_clock, peak_rss_bytes
 from repro.util.validation import check_positive
@@ -265,12 +268,15 @@ class SweepJob:
         self.metrics = MetricsRegistry()
         self.metrics_lock = threading.Lock()
         self._ledgers: list[dict] = []
+        self._job_key: str | None = None
 
     # ------------------------------------------------------------------
     # checkpoint layout
     # ------------------------------------------------------------------
     def job_key(self) -> str:
-        """Content hash of the grid and its shard layout."""
+        """Content hash of the grid and its shard layout (computed once)."""
+        if self._job_key is not None:
+            return self._job_key
         payload = json.dumps(
             {
                 "schema": CHECKPOINT_SCHEMA,
@@ -280,7 +286,8 @@ class SweepJob:
             sort_keys=True,
             separators=(",", ":"),
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        self._job_key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return self._job_key
 
     def _shard_path(self, index: int) -> Path:
         assert self.checkpoint_dir is not None
@@ -289,17 +296,6 @@ class SweepJob:
     def _manifest_path(self) -> Path:
         assert self.checkpoint_dir is not None
         return self.checkpoint_dir / "job.json"
-
-    def _atomic_write(self, path: Path, payload: dict) -> None:
-        assert self.checkpoint_dir is not None
-        fd, tmp = tempfile.mkstemp(dir=self.checkpoint_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
 
     def _prepare_checkpoints(self) -> set[int]:
         """Create/validate the checkpoint dir; return resumable shard indices.
@@ -333,7 +329,7 @@ class SweepJob:
         else:
             for stale in self.checkpoint_dir.glob("shard-*.json"):
                 stale.unlink()
-        self._atomic_write(
+        write_json_atomic(
             manifest_path,
             {
                 "schema": CHECKPOINT_SCHEMA,
@@ -381,14 +377,17 @@ class SweepJob:
         return done
 
     def _checkpoint_shard(self, outcome: dict[str, Any]) -> None:
+        """Write one finished shard: its cells plus the shard's counters.
+
+        The cell ledgers stay out: resume never reads them (resumed shards
+        contribute no ledgers, see :meth:`telemetry`).  With a result store
+        they persist in its ``telemetry/`` directory.
+        """
         if self.checkpoint_dir is None:
             return
-        payload = {
-            "schema": CHECKPOINT_SCHEMA,
-            "job_key": self.job_key(),
-            **outcome,
-        }
-        self._atomic_write(self._shard_path(outcome["shard"]), payload)
+        payload = {"schema": CHECKPOINT_SCHEMA, "job_key": self.job_key(), **outcome}
+        del payload["telemetry"]
+        write_json_atomic(self._shard_path(outcome["shard"]), payload)
 
     # ------------------------------------------------------------------
     # execution

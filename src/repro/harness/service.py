@@ -362,6 +362,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ServiceServer"  # type: ignore[assignment]
     protocol_version = "HTTP/1.1"
+    #: headers and body go out in separate sends; with Nagle on, a
+    #: keep-alive client's delayed ACK holds every body back ~40 ms
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
         if self.server.verbose:

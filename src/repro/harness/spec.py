@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from types import BuiltinFunctionType, FunctionType
 from typing import Any
 
 from repro.apps.base import app_class, create_app
@@ -30,6 +31,21 @@ from repro.hyperion.runtime import ExecutionReport, HyperionRuntime, RuntimeConf
 
 #: bump when the canonical JSON layout changes, so stale caches never match
 CACHE_SCHEMA_VERSION = 1
+
+#: entries of the process-wide component memo before it starts over
+FORM_MEMO_LIMIT = 256
+#: (form function, exact identity of a resolved component) -> its canonical
+#: form; read only by :meth:`ExperimentSpec.cache_key`, never handed out
+_FORM_MEMO: dict[tuple, Any] = {}
+
+#: leaf types :func:`_identity` takes by value: they cannot change and
+#: encode to JSON by value
+_VALUE_LEAVES = frozenset({str, int, float, bool, type(None)})
+#: leaves it takes by object: the canonical form spells functions and
+#: classes by name, or by a ``repr`` that includes the object's id
+_NAMED_LEAVES = (type, FunctionType, BuiltinFunctionType)
+#: field names of each frozen dataclass :func:`_identity` has walked
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
 def resolve_cluster(cluster: str | ClusterSpec) -> ClusterSpec:
@@ -84,6 +100,70 @@ def _workload_form(workload) -> Any:
     if attributes:
         return {"__class__": type(workload).__name__, **attributes}
     return repr(workload)
+
+
+def _identity(value) -> tuple:
+    """Hashable identity of a resolved spec component, for the form memo.
+
+    Two components share an identity only when their canonical forms are
+    the same JSON text: every leaf carries its type (``1``, ``1.0`` and
+    ``True`` compare equal but encode differently), floats are taken by
+    ``repr`` (``0.0 == -0.0`` but they encode apart), and only immutable
+    leaves, tuples and frozen dataclasses are accepted, so a memoised form
+    cannot go stale.  Anything else raises :class:`TypeError` and the
+    caller builds the component's form afresh.
+    """
+    cls = type(value)
+    if cls is float:
+        return (cls, repr(value))
+    if cls in _VALUE_LEAVES or isinstance(value, _NAMED_LEAVES):
+        return (cls, value)
+    if cls is tuple:
+        return (cls, *map(_identity, value))
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        params = getattr(cls, "__dataclass_params__", None)
+        if params is None or not params.frozen:
+            raise TypeError(f"{cls.__name__} has no immutable identity")
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    return (cls, *[_identity(getattr(value, name)) for name in names])
+
+
+#: the canonical JSON encoding every cache key is hashed from (one encoder:
+#: ``json.dumps`` with options builds a new one per call)
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=repr).encode
+
+
+def _build_form(form, value):
+    return form(value)
+
+
+def _memo_form(form, value):
+    """``form(value)``, memoised by the exact identity of *value*."""
+    try:
+        identity = (form, _identity(value))
+    except TypeError:
+        return form(value)
+    built = _FORM_MEMO.get(identity)
+    if built is None:
+        built = form(value)
+        if len(_FORM_MEMO) >= FORM_MEMO_LIMIT:
+            _FORM_MEMO.clear()
+        _FORM_MEMO[identity] = built
+    return built
+
+
+def _cluster_form(cluster: ClusterSpec) -> dict[str, Any]:
+    """Canonical form of a resolved cluster: its constants, not its name's."""
+    return {
+        "name": cluster.name,
+        "num_nodes": cluster.num_nodes,
+        "machine": _dataclass_dict(cluster.machine),
+        "network": _dataclass_dict(cluster.network),
+        "software": _dataclass_dict(cluster.software),
+        "page_size": cluster.page_size,
+        "topology": _qualified_name(cluster.topology_factory),
+    }
 
 
 def _qualified_name(obj) -> str:
@@ -171,26 +251,21 @@ class ExperimentSpec:
 
         Preset names are resolved into their constants so that equivalent
         specs produce identical dictionaries regardless of how the cluster or
-        workload was spelled.
+        workload was spelled.  Every call builds a new dictionary.
         """
-        cluster = self.resolved_cluster()
-        workload = self.resolved_workload()
+        return self._canonical_form(_build_form)
+
+    def _canonical_form(self, component) -> dict[str, Any]:
+        """The canonical layout; ``component(form, value)`` renders the
+        resolved cluster, workload and config."""
         return {
             "schema": CACHE_SCHEMA_VERSION,
             "app": self.app,
             "protocol": self.protocol,
             "num_nodes": self.num_nodes,
-            "cluster": {
-                "name": cluster.name,
-                "num_nodes": cluster.num_nodes,
-                "machine": _dataclass_dict(cluster.machine),
-                "network": _dataclass_dict(cluster.network),
-                "software": _dataclass_dict(cluster.software),
-                "page_size": cluster.page_size,
-                "topology": _qualified_name(cluster.topology_factory),
-            },
-            "workload": _workload_form(workload),
-            "config": _dataclass_dict(self.effective_config()),
+            "cluster": component(_cluster_form, self.resolved_cluster()),
+            "workload": component(_workload_form, self.resolved_workload()),
+            "config": component(_dataclass_dict, self.effective_config()),
         }
 
     def cache_key(self) -> str:
@@ -198,14 +273,17 @@ class ExperimentSpec:
 
         Memoised per instance: the spec is frozen, and resolving presets plus
         hashing is paid several times per cell otherwise (store lookup and
-        store write at least).
+        store write at least).  New instances of an equal cell (every
+        ``matrix.build()`` or ``dataclasses.replace``) still resolve their
+        components, but take each component's canonical form from a bounded
+        process-wide memo keyed by its exact :func:`_identity`, so no
+        ``asdict`` copy is made.  The memoised forms are only encoded here,
+        never returned, so the text hashed is ``_dumps(self.canonical_dict())``.
         """
         cached = self.__dict__.get("_cache_key")
         if cached is not None:
             return cached
-        payload = json.dumps(
-            self.canonical_dict(), sort_keys=True, separators=(",", ":"), default=repr
-        )
+        payload = _dumps(self._canonical_form(_memo_form))
         key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
         object.__setattr__(self, "_cache_key", key)
         return key

@@ -42,8 +42,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from contextlib import contextmanager
-from dataclasses import asdict
+from contextlib import contextmanager, suppress
+from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
@@ -84,6 +84,42 @@ def _int_keys(mapping: dict[str, Any]) -> dict[int, Any]:
     return {int(k): v for k, v in mapping.items()}
 
 
+def write_json_atomic(path: Path, payload: dict) -> None:
+    """Write *payload* to *path* as compact JSON, atomically.
+
+    The text goes to a temporary file in the same directory that then
+    replaces *path*, so a reader sees the old file or the whole new one,
+    never a torn write.  It is encoded in one ``json.dumps`` call, which
+    runs the C encoder; streaming ``json.dump`` (or any ``indent``) runs
+    the pure-Python one.  Every store entry, telemetry ledger, manifest
+    and sweep checkpoint is written here.
+    """
+    data = json.dumps(payload).encode("utf-8")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _stats_fields(stats) -> dict[str, Any]:
+    """``dataclasses.asdict`` of a flat stats dataclass, without the deep copy.
+
+    Every field of the run's stats classes is a scalar or a dict of scalars,
+    so copying each dict gives ``asdict``'s value at a fraction of its cost
+    (a payload is built for every cell a sweep runs).
+    """
+    payload = {}
+    for field in fields(stats):
+        value = getattr(stats, field.name)
+        payload[field.name] = dict(value) if isinstance(value, dict) else value
+    return payload
+
+
 def report_to_payload(report: ExecutionReport) -> dict[str, Any]:
     """JSON-friendly structured form of *report* (inverse of
     :func:`report_from_payload`)."""
@@ -102,9 +138,9 @@ def report_to_payload(report: ExecutionReport) -> dict[str, Any]:
         "result": result,
         "stats": {
             "execution_seconds": stats.execution_seconds,
-            "dsm": asdict(stats.dsm),
-            "monitors": asdict(stats.monitors),
-            "threads": asdict(stats.threads),
+            "dsm": _stats_fields(stats.dsm),
+            "monitors": _stats_fields(stats.monitors),
+            "threads": _stats_fields(stats.threads),
             "cpu_seconds_by_node": stats.cpu_seconds_by_node,
             "wait_seconds_by_node": stats.wait_seconds_by_node,
         },
@@ -208,7 +244,7 @@ class ResultStore:
                         "store_version": STORE_VERSION,
                         "entry_schema": CACHE_SCHEMA_VERSION,
                     }
-                    self._atomic_write(self.manifest_path, payload)
+                    write_json_atomic(self.manifest_path, payload)
                     return
         try:
             manifest = self.manifest()
@@ -382,7 +418,7 @@ class ResultStore:
         """
         path = self.telemetry_path_for(spec.cache_key())
         self.telemetry_root.mkdir(exist_ok=True)
-        self._atomic_write(path, payload)
+        write_json_atomic(path, payload)
         self.metrics.counter(
             "store_telemetry_puts_total", "Telemetry ledgers persisted."
         ).inc()
@@ -397,18 +433,8 @@ class ResultStore:
         return payload if isinstance(payload, dict) else None
 
     def _write_entry(self, key: str, payload: dict) -> None:
-        self._atomic_write(self.path_for(key), payload)
+        write_json_atomic(self.path_for(key), payload)
         self._read_cache[key] = payload["report"]
-
-    def _atomic_write(self, path: Path, payload: dict) -> None:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, indent=2)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "ResultStore":

@@ -53,9 +53,15 @@ TELEMETRY_VERSION = 1
 
 
 class EngineInstrument:
-    """Per-event hook the engine calls on its (telemetry-only) slow path."""
+    """Per-event hook the engine calls on its (telemetry-only) slow path.
 
-    __slots__ = ("events", "queue_depth")
+    An event costs one plain dict update and one comparison: counts by
+    kind and the peak depth accumulate here and reach the registry's
+    families in :meth:`publish`, which :meth:`TelemetryCollector.finalize`
+    calls before it exports the metrics.
+    """
+
+    __slots__ = ("events", "queue_depth", "_counts", "_peak")
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.events = registry.counter(
@@ -64,10 +70,23 @@ class EngineInstrument:
         self.queue_depth = registry.gauge(
             "sim_event_queue_depth_peak", "Peak pending-event queue depth."
         )
+        self._counts: dict[str, int] = {}
+        self._peak = -1
 
     def record_event(self, kind: str, depth: int) -> None:
-        self.events.inc(1, kind=kind)
-        self.queue_depth.set_max(depth)
+        counts = self._counts
+        counts[kind] = counts.get(kind, 0) + 1
+        if depth > self._peak:
+            self._peak = depth
+
+    def publish(self) -> None:
+        """Fold the events recorded since the last publish into the registry."""
+        for kind, count in self._counts.items():
+            self.events.inc(count, kind=kind)
+        if self._peak >= 0:
+            self.queue_depth.set_max(self._peak)
+        self._counts = {}
+        self._peak = -1
 
 
 class DsmInstrument:
@@ -247,6 +266,7 @@ class TelemetryCollector:
         """Snapshot the finished run into a :class:`RunTelemetry`."""
         from repro.perf.profiler import CellProfile
 
+        self.engine_instrument.publish()
         self._snapshot_stats(report)
         trace = runtime.engine.trace
         profile = CellProfile(

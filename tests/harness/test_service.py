@@ -1,6 +1,8 @@
 """The sweep service: request parsing, lifecycle, and the HTTP round-trip."""
 
+import http.client
 import json
+import statistics
 import threading
 import time
 import urllib.error
@@ -194,6 +196,29 @@ def test_http_errors(server):
     assert _call(server, "POST", "/sweeps", {"apps": []})[0] == 400
     status, body = _call(server, "POST", "/sweeps", REQUEST | {"shard_size": -1})
     assert status == 400 and "shard_size" in body["error"]
+
+
+def test_keep_alive_responses_do_not_stall(server):
+    """Calls on one kept-alive connection answer promptly.
+
+    The handler sends headers and body separately; with Nagle's algorithm
+    on, the body waits for the client's delayed ACK (~40 ms) on every
+    response after the first.
+    """
+    host, port = server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        elapsed = []
+        for _ in range(12):
+            started = time.perf_counter()
+            conn.request("GET", "/health")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+            elapsed.append(time.perf_counter() - started)
+    finally:
+        conn.close()
+    assert statistics.median(elapsed) < 0.010
 
 
 def test_http_shutdown_drains_cleanly(tmp_path):
