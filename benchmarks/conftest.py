@@ -5,18 +5,20 @@ ablation) at the ``bench`` workload scale and records the reproduced series
 in ``benchmark.extra_info`` so that ``pytest --benchmark-json`` dumps carry
 the actual figure data, not just the simulator's wall-clock time.
 
-All simulations route through a shared :class:`repro.harness.session.Session`
-(the ``bench_session`` fixture).  Two environment variables configure it:
-``HYPERION_BENCH_JOBS`` fans cells out over that many worker processes, and
-``HYPERION_BENCH_CACHE`` points at a result-store directory so repeated
-benchmark runs reuse earlier simulations.  Both default to off, keeping the
-timed numbers comparable across machines.
+All simulations route through one serial, storeless
+:class:`repro.harness.session.Session` (the ``bench_session`` fixture), so
+every timed number is a fresh simulation.
+
+Regenerated results land in the git-ignored ``.benchmarks/results/`` at the
+repository root, never in the committed ``benchmarks/results/``: those files
+are the recorded reference copies (and the throughput floors CI gates
+against).  Recording a new reference is a deliberate copy from one
+directory to the other.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -29,18 +31,12 @@ try:  # the whole directory depends on the pytest-benchmark plugin
 except ImportError:  # pragma: no cover - exercised only in minimal installs
     collect_ignore_glob = ["test_*.py"]
 
-RESULTS_DIR = Path(__file__).parent / "results"
+#: where a benchmark run writes what it regenerates (git-ignored)
+RESULTS_DIR = Path(__file__).resolve().parent.parent / ".benchmarks" / "results"
 
 #: node counts used for the figure grids (kept modest so the whole benchmark
 #: suite runs in a couple of minutes; the CLI can produce the full grids)
 FIGURE_NODE_COUNTS = {"myrinet": (1, 2, 4, 8, 12), "sci": (1, 2, 4, 6)}
-
-
-def _session_from_env() -> Session:
-    return Session.from_options(
-        jobs=int(os.environ.get("HYPERION_BENCH_JOBS", "1")),
-        cache_dir=os.environ.get("HYPERION_BENCH_CACHE"),
-    )
 
 
 @pytest.fixture(scope="session")
@@ -52,13 +48,13 @@ def bench_preset() -> WorkloadPreset:
 @pytest.fixture(scope="session")
 def bench_session() -> Session:
     """The session every benchmark's simulations route through."""
-    return _session_from_env()
+    return Session()
 
 
 @pytest.fixture(scope="session")
 def results_dir() -> Path:
     """Directory where benchmarks drop their regenerated figure data."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     return RESULTS_DIR
 
 

@@ -1,6 +1,7 @@
 """Protocol-family crossover smoke: the grown protocol grid + the A2 sweep.
 
-Records ``benchmarks/results/protocol_grid.json`` with two sections:
+Regenerates ``protocol_grid.json`` (recorded in ``benchmarks/results/``)
+with two sections:
 
 * ``family`` — every registered application (the five paper benchmarks and
   all generated ``syn-*`` scenarios) run under the full protocol family
@@ -28,7 +29,6 @@ import pytest
 from repro.apps.base import available_apps
 from repro.harness.figures import PROTOCOL_FAMILY
 from repro.harness.spec import ExperimentSpec, resolve_workload
-from repro.harness.sweep import sweep_check_cost
 from repro.scenarios.registry import available_scenarios  # noqa: F401 - registers syn-*
 
 #: protocols of the A2 crossover sweep (the hybrid should track the cheaper
@@ -67,12 +67,12 @@ def test_protocol_family_grid(benchmark, bench_session, results_dir):
                 "mprotect_calls": int(stats["mprotect_calls"]),
                 "page_rehomes": int(report.page_rehomes),
             }
-        sweep = sweep_check_cost(
+        sweep = bench_session.ablation(
+            "check_cost",
             "asp",
             num_nodes=GRID_NODES,
             workload=resolve_workload("asp", "testing"),
             protocols=SWEEP_PROTOCOLS,
-            session=bench_session,
         )
         return {
             "cluster": "myrinet",

@@ -1,7 +1,7 @@
 """Synthetic-scenario throughput and the protocol comparison grid.
 
-Two recorded artifacts accompany the engine-throughput trajectory in
-``benchmarks/results/``:
+Two artifacts accompany the engine-throughput trajectory (regenerated into
+``.benchmarks/results/``, recorded in ``benchmarks/results/``):
 
 * ``scenario_throughput.json`` — events/second per registered pattern (one
   bench-scale cell each, captured with the same :class:`repro.perf.Profiler`
@@ -64,7 +64,7 @@ def test_scenario_cell_throughput(benchmark, results_dir):
     ]
     profiler = Profiler(with_cprofile=False, repeats=5, warmup=1)
 
-    def run_cells():
+    def time_cells():
         gc.disable()
         try:
             profiles = profiler.profile_many(specs)
@@ -92,7 +92,7 @@ def test_scenario_cell_throughput(benchmark, results_dir):
         }
         return payload
 
-    aggregate = benchmark.pedantic(run_cells, rounds=1, iterations=1)
+    aggregate = benchmark.pedantic(time_cells, rounds=1, iterations=1)
     benchmark.extra_info["throughput"] = aggregate
     (results_dir / "scenario_throughput.json").write_text(
         json.dumps(aggregate, indent=2, sort_keys=True)

@@ -1,6 +1,6 @@
 """Topology-grid smoke: cluster *shape* as a sweep dimension.
 
-Records ``benchmarks/results/topology_grid.json``: the
+Regenerates ``topology_grid.json`` (recorded in ``benchmarks/results/``): the
 :func:`~repro.harness.figures.generate_topology_grid` grid (apps x topology
 presets x protocols at the ``testing`` scale) plus the acceptance numbers of
 the topology subsystem:

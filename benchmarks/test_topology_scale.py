@@ -1,6 +1,6 @@
 """Topology-scale smoke: the thousand-node scaling law.
 
-Records ``benchmarks/results/topology_scale.json``: the
+Regenerates ``topology_scale.json`` (recorded in ``benchmarks/results/``): the
 :func:`~repro.harness.figures.generate_topology_scale` sweep — the
 false-sharing scenario on ``myrinet_grid`` (8-node Myrinet islands over
 Fast Ethernet) at n = 16 / 64 / 256 / 1024 under both paper protocols —

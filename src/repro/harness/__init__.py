@@ -35,19 +35,16 @@ On top of that sit the paper-specific layers:
   constants the paper publishes and the improvements it reports;
 * :mod:`~repro.harness.cli` — the ``hyperion-sim`` command-line interface.
 
-The historical module-level wrappers (``run_cell``, ``run_comparison``,
-``run_sweep`` and the four ``sweep_*`` functions) still exist in their
-modules as deprecated shims but are no longer part of this package's public
-surface; new code goes through :class:`Session`.
+:class:`Session` is the only entry-point surface: there are no module-level
+wrappers beside its methods.
 """
 
 from repro.harness.spec import ExperimentSpec, run_spec
 from repro.harness.matrix import ExperimentMatrix
 from repro.harness.executor import Executor, ParallelExecutor, SerialExecutor
 from repro.harness.store import ResultStore, StoreSchemaError
-from repro.harness.session import CellResult, Session, SessionResult, default_session
+from repro.harness.session import CellResult, Session, SessionResult
 from repro.harness.experiment import (
-    ExperimentCell,
     ProtocolComparison,
     comparison_specs,
     fill_comparison,
@@ -88,10 +85,8 @@ __all__ = [
     "Session",
     "SessionResult",
     "CellResult",
-    "default_session",
     "run_spec",
     # comparisons
-    "ExperimentCell",
     "ProtocolComparison",
     "comparison_specs",
     "fill_comparison",

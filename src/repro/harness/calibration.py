@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.apps.workloads import WorkloadPreset
 from repro.cluster.presets import cluster_by_name
-from repro.harness.session import Session, default_session
+from repro.harness.session import Session
 
 #: single-node improvements the paper reports (or implies) on the Myrinet
 #: cluster; TSP is only bounded by the 38-64% range given in Section 4.3
@@ -123,7 +123,7 @@ def calibrate(
     report.constants_ok = all(note.startswith("ok") for note in report.notes)
 
     for app in apps or sorted(PAPER_MYRINET_IMPROVEMENT):
-        comparison = (session or default_session()).comparison(
+        comparison = (session or Session()).comparison(
             app,
             "myrinet",
             node_counts=[1],

@@ -6,78 +6,23 @@ workload.  A *protocol comparison* runs the same application/cluster/node
 grid under several protocols and derives the quantity the paper reports: the
 relative improvement of ``java_pf`` over ``java_ic``.
 
-Cells are described by :class:`~repro.harness.spec.ExperimentSpec` (of which
-:data:`ExperimentCell` is the historical alias) and executed through a
-:class:`~repro.harness.session.Session` —
+Cells are described by :class:`~repro.harness.spec.ExperimentSpec` and
+executed through a :class:`~repro.harness.session.Session` —
 :meth:`~repro.harness.session.Session.cell` and
-:meth:`~repro.harness.session.Session.comparison` are the public entry
-points.  The module-level :func:`run_cell` and :func:`run_comparison`
-remain as deprecated shims delegating to the session surface;
-:func:`comparison_specs` and :func:`fill_comparison` are the (blessed)
-building blocks the figure pipeline batches many comparisons with.
+:meth:`~repro.harness.session.Session.comparison` are the entry points.
+:func:`comparison_specs` and :func:`fill_comparison` are the building blocks
+the figure pipeline batches many comparisons with.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
 from repro.cluster.presets import ClusterSpec
-from repro.harness.session import Session, SessionResult, default_session
-from repro.harness.spec import (
-    ExperimentSpec,
-    resolve_cluster,
-    resolve_workload,
-)
+from repro.harness.session import SessionResult
+from repro.harness.spec import ExperimentSpec, resolve_cluster
 from repro.hyperion.runtime import ExecutionReport, RuntimeConfig
-
-#: backward-compatible name: the cell identity is now the (richer) spec
-ExperimentCell = ExperimentSpec
-
-# re-exported for callers that used the private helpers
-_resolve_cluster = resolve_cluster
-
-
-def _resolve_workload(app_name: str, workload) -> object:
-    return resolve_workload(app_name, workload)
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_cell(
-    app_name: str,
-    cluster: str | ClusterSpec,
-    protocol: str,
-    num_nodes: int,
-    workload=None,
-    config: RuntimeConfig | None = None,
-    verify: bool = False,
-    session: Session | None = None,
-) -> ExecutionReport:
-    """Deprecated: use :meth:`repro.harness.session.Session.cell`.
-
-    ``workload`` may be a workload object, a :class:`WorkloadPreset`, a preset
-    name (``"bench"``, ``"paper"``, ``"testing"``) or None (bench preset).
-    With ``verify=True`` the application's correctness check runs on the
-    result and a failure raises ``AssertionError``.
-    """
-    _warn_deprecated("repro.harness.experiment.run_cell", "Session.cell")
-    return (session or default_session()).cell(
-        app_name,
-        cluster,
-        protocol,
-        num_nodes,
-        workload=workload,
-        config=config,
-        verify=verify,
-    )
 
 
 @dataclass
@@ -173,26 +118,3 @@ def fill_comparison(
     for spec in specs:
         comparison.reports[(spec.protocol, spec.num_nodes)] = result[spec]
     return comparison
-
-
-def run_comparison(
-    app_name: str,
-    cluster: str | ClusterSpec,
-    node_counts: Sequence[int] | None = None,
-    workload=None,
-    protocols: Iterable[str] = ("java_ic", "java_pf"),
-    config: RuntimeConfig | None = None,
-    verify: bool = False,
-    session: Session | None = None,
-) -> ProtocolComparison:
-    """Deprecated: use :meth:`repro.harness.session.Session.comparison`."""
-    _warn_deprecated("repro.harness.experiment.run_comparison", "Session.comparison")
-    return (session or default_session()).comparison(
-        app_name,
-        cluster,
-        node_counts=node_counts,
-        workload=workload,
-        protocols=protocols,
-        config=config,
-        verify=verify,
-    )

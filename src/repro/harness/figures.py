@@ -16,7 +16,7 @@ from repro.harness.experiment import (
     comparison_specs,
     fill_comparison,
 )
-from repro.harness.session import CellResult, Session, default_session
+from repro.harness.session import CellResult, Session
 from repro.harness.spec import ExperimentSpec
 from repro.hyperion.runtime import RuntimeConfig
 
@@ -209,7 +209,7 @@ def generate_figure(
 ) -> FigureData:
     """Regenerate one of the paper's figures.
 
-    ``workload`` accepts the same forms as :func:`repro.harness.experiment.run_cell`
+    ``workload`` accepts the same forms as :meth:`repro.harness.session.Session.cell`
     (a preset name, a :class:`WorkloadPreset`, a workload object or None for
     the bench preset).  ``session`` selects the executor and result cache;
     the default is serial and storeless.
@@ -219,7 +219,7 @@ def generate_figure(
         number, workload, clusters, node_counts, protocol_list, config, verify
     )
     all_specs = [spec for _, _, specs in plan for spec in specs]
-    result = (session or default_session()).run(all_specs)
+    result = (session or Session()).run(all_specs)
     return _assemble_figure(data, plan, result, protocol_list)
 
 
@@ -425,7 +425,7 @@ def generate_scenario_grid(
         )
         plan.append((name, comparison, specs))
     all_specs = [spec for _, _, specs in plan for spec in specs]
-    result = (session or default_session()).run(all_specs)
+    result = (session or Session()).run(all_specs)
     for name, comparison, specs in plan:
         fill_comparison(comparison, specs, result)
         grid.cells.extend(result.cell(spec) for spec in specs)
@@ -582,7 +582,7 @@ def generate_topology_grid(
                     workload=workload,
                     config=config,
                 )
-    result = (session or default_session()).run(list(specs.values()))
+    result = (session or Session()).run(list(specs.values()))
     for key, spec in specs.items():
         grid.reports[key] = result[spec]
         grid.cells.append(result.cell(spec))
@@ -732,7 +732,7 @@ def generate_topology_scale(
                 workload=workload,
                 config=config,
             )
-    result = (session or default_session()).run(list(specs.values()))
+    result = (session or Session()).run(list(specs.values()))
     for key, spec in specs.items():
         data.reports[key] = result[spec]
         data.cells.append(result.cell(spec))
@@ -765,7 +765,7 @@ def generate_all_figures(
     all_specs = [
         spec for data, plan in plans.values() for _, _, specs in plan for spec in specs
     ]
-    result = (session or default_session()).run(all_specs)
+    result = (session or Session()).run(all_specs)
     return {
         number: _assemble_figure(data, plan, result, list(protocols))
         for number, (data, plan) in plans.items()

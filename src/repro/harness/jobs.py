@@ -302,8 +302,9 @@ class SweepJob:
 
         Without ``resume`` any previous checkpoint content is cleared.  With
         it, a manifest describing a *different* grid raises
-        :class:`CheckpointMismatch`; shard files that are unreadable
-        (truncated by a kill) or stale are discarded so their cells recompute.
+        :class:`CheckpointMismatch` (an unreadable or non-object manifest
+        counts as absent); shard files that are unreadable (truncated by a
+        kill), malformed or stale are discarded so their cells recompute.
         """
         if self.checkpoint_dir is None:
             return set()
@@ -315,6 +316,8 @@ class SweepJob:
             try:
                 existing = json.loads(manifest_path.read_text())
             except (OSError, ValueError):
+                existing = None
+            if not isinstance(existing, dict):
                 existing = None
         if self.resume:
             if existing is None:
@@ -355,18 +358,19 @@ class SweepJob:
             except ValueError:
                 path.unlink(missing_ok=True)  # truncated by a kill: recompute
                 continue
+            cells = payload.get("cells") if isinstance(payload, dict) else None
             if (
-                payload.get("schema") != CHECKPOINT_SCHEMA
+                not isinstance(cells, list)
+                or not all(isinstance(cell, dict) for cell in cells)
+                or payload.get("schema") != CHECKPOINT_SCHEMA
                 or payload.get("job_key") != key
-                or [cell.get("key") for cell in payload.get("cells", [])]
+                or [cell.get("key") for cell in cells]
                 != [spec.cache_key() for spec in shard]
             ):
                 path.unlink(missing_ok=True)
                 continue
             try:
-                reports = [
-                    report_from_payload(cell["report"]) for cell in payload["cells"]
-                ]
+                reports = [report_from_payload(cell["report"]) for cell in cells]
             except (KeyError, TypeError, AttributeError):
                 path.unlink(missing_ok=True)
                 continue

@@ -54,6 +54,8 @@ from repro.util.validation import check_positive
 
 #: states a submitted sweep moves through (terminal: done/failed/interrupted)
 SWEEP_STATES = ("queued", "running", "done", "failed", "interrupted")
+#: largest request body the service reads; a larger one is refused with 413
+MAX_BODY_BYTES = 1 << 20
 
 
 class ServiceError(ValueError):
@@ -64,8 +66,24 @@ class ServiceError(ValueError):
         self.status = status
 
 
+def _string_list(payload: dict, name: str) -> list[str]:
+    value = payload.get(name)
+    if (
+        not isinstance(value, list)
+        or not value
+        or not all(isinstance(item, str) for item in value)
+    ):
+        raise ServiceError(f'"{name}" must be a non-empty list of strings')
+    return value
+
+
 def parse_sweep_request(payload: Any) -> ExperimentMatrix:
-    """Build the :class:`ExperimentMatrix` a sweep-request JSON describes."""
+    """Build the :class:`ExperimentMatrix` a sweep-request JSON describes.
+
+    ``apps`` and ``clusters`` are required non-empty string lists; the
+    optional ``protocols`` is one too, ``nodes`` a non-empty list of
+    positive integers and ``workload`` a preset name.
+    """
     if not isinstance(payload, dict):
         raise ServiceError("sweep request must be a JSON object")
     known = {
@@ -83,19 +101,26 @@ def parse_sweep_request(payload: Any) -> ExperimentMatrix:
             f"unknown sweep-request field(s): {', '.join(unknown)}; "
             f"known: {', '.join(sorted(known))}"
         )
-    apps = payload.get("apps")
-    clusters = payload.get("clusters")
-    if not apps or not isinstance(apps, list):
-        raise ServiceError('sweep request needs a non-empty "apps" list')
-    if not clusters or not isinstance(clusters, list):
-        raise ServiceError('sweep request needs a non-empty "clusters" list')
-    matrix = ExperimentMatrix().apps(*apps).clusters(*clusters)
-    if payload.get("protocols"):
-        matrix = matrix.protocols(*payload["protocols"])
-    if payload.get("nodes"):
-        matrix = matrix.nodes(*payload["nodes"])
-    matrix = matrix.workload(payload.get("workload", "bench"))
-    return matrix
+    matrix = (
+        ExperimentMatrix()
+        .apps(*_string_list(payload, "apps"))
+        .clusters(*_string_list(payload, "clusters"))
+    )
+    if "protocols" in payload:
+        matrix = matrix.protocols(*_string_list(payload, "protocols"))
+    if "nodes" in payload:
+        nodes = payload["nodes"]
+        if (
+            not isinstance(nodes, list)
+            or not nodes
+            or not all(type(n) is int and n > 0 for n in nodes)
+        ):
+            raise ServiceError('"nodes" must be a non-empty list of positive integers')
+        matrix = matrix.nodes(*nodes)
+    workload = payload.get("workload", "bench")
+    if not isinstance(workload, str):
+        raise ServiceError('"workload" must be a preset name (a string)')
+    return matrix.workload(workload)
 
 
 class SweepRecord:
@@ -178,9 +203,9 @@ class SweepService:
     # ------------------------------------------------------------------
     def submit(self, payload: Any) -> SweepRecord:
         """Validate and enqueue one sweep request; returns its record."""
-        matrix = parse_sweep_request(payload)
-        shard_size = payload.get("shard_size", self.default_shard_size)
         try:
+            matrix = parse_sweep_request(payload)
+            shard_size = payload.get("shard_size", self.default_shard_size)
             if shard_size is not None:
                 check_positive("shard_size", shard_size)
             specs = matrix.build()  # unknown apps/clusters surface here
@@ -376,6 +401,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _send(self, status: int, payload: dict[str, Any]) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self.send_response(status)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -390,7 +417,18 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
     def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = (self.headers.get("Content-Length") or "").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            # the body's framing is unknown: answer and drop the connection
+            self.close_connection = True
+            raise ServiceError("request needs a non-negative integer Content-Length")
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            # the unread body would be parsed as the next request
+            self.close_connection = True
+            raise ServiceError(
+                f"request body of {length} bytes exceeds {MAX_BODY_BYTES}", status=413
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}

@@ -28,10 +28,8 @@ session's executor and store reach every code path:
 ``session.job(...)``         sharded, resumable sweep -> ``SweepJob``
 ===========================  ==============================================
 
-The historical module-level wrappers (``run_cell``, ``run_comparison``, the
-four ``sweep_*`` functions) are deprecated shims that delegate here; new
-code constructs a :class:`Session` (or :meth:`Session.from_options`) and
-calls its methods.
+Callers construct a :class:`Session` (or :meth:`Session.from_options`) and
+call its methods; the harness has no module-level entry points beside it.
 
 Every cell a session runs is also available as a :class:`CellResult` — the
 common record (spec, report, cached-flag, sanitizer) that sweep shards,
@@ -167,7 +165,7 @@ class Session:
     def from_options(
         cls, jobs: int = 1, cache_dir: str | None = None
     ) -> "Session":
-        """Session described by the common knobs (CLI flags, env vars):
+        """Session described by the common knobs (the CLI flags):
         ``jobs`` worker processes and an optional cache directory."""
         from repro.harness.executor import ParallelExecutor
 
@@ -458,12 +456,3 @@ class Session:
 
     def __repr__(self) -> str:
         return f"Session(executor={self.executor!r}, store={self.store!r})"
-
-
-#: default session used by the thin backward-compatible wrappers
-_DEFAULT_SESSION = Session()
-
-
-def default_session() -> Session:
-    """The serial, storeless session the legacy entry points fall back to."""
-    return _DEFAULT_SESSION

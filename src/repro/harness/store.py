@@ -252,6 +252,11 @@ class ResultStore:
             raise StoreSchemaError(
                 f"unreadable store manifest at {self.manifest_path}: {exc}"
             ) from exc
+        if not isinstance(manifest, dict):
+            raise StoreSchemaError(
+                f"malformed store manifest at {self.manifest_path}: "
+                f"the root is a JSON {type(manifest).__name__}, not an object"
+            )
         if manifest.get("format") != STORE_FORMAT:
             raise StoreSchemaError(
                 f"{self.root} is not a hyperion result store "

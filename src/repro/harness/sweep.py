@@ -7,20 +7,15 @@ and executed through :meth:`repro.harness.session.Session.sweep` /
 executor parallelism, the result cache and the :class:`CellResult` shape
 with the rest of the harness.  Adding a new ablation is one ``Ablation``
 entry describing how the swept value maps onto a config or cluster override.
-
-The historical module-level entry points (``run_sweep`` and the four
-``sweep_*`` functions) remain as deprecated shims delegating to the session
-surface.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable
 from typing import TYPE_CHECKING
 
-from repro.harness.session import CellResult, Session, default_session
+from repro.harness.session import CellResult
 from repro.harness.spec import ExperimentSpec, resolve_cluster
 from repro.hyperion.runtime import RuntimeConfig
 
@@ -209,139 +204,3 @@ def ablation_by_name(kind: str) -> Ablation:
         raise KeyError(
             f"unknown ablation {kind!r}; available: {', '.join(sorted(ABLATIONS))}"
         ) from None
-
-
-# ---------------------------------------------------------------------------
-# deprecated module-level wrappers (delegate to the Session surface)
-# ---------------------------------------------------------------------------
-def _warn_deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_sweep(
-    parameter: str,
-    values: Sequence[object],
-    make_spec: Callable[[object, str], ExperimentSpec],
-    protocols: Iterable[str] = ("java_ic", "java_pf"),
-    session: Session | None = None,
-    sanitize: bool = False,
-) -> SweepResult:
-    """Deprecated: use :meth:`repro.harness.session.Session.sweep`."""
-    _warn_deprecated("repro.harness.sweep.run_sweep", "Session.sweep")
-    return (session or default_session()).sweep(
-        parameter, values, make_spec, protocols, sanitize
-    )
-
-
-def _legacy_ablation(
-    kind: str,
-    app: str,
-    cluster,
-    num_nodes: int,
-    values,
-    workload,
-    protocols,
-    session: Session | None,
-    sanitize: bool,
-) -> SweepResult:
-    _warn_deprecated(f"repro.harness.sweep.{ABLATION_SHIMS[kind]}", "Session.ablation")
-    return (session or default_session()).ablation(
-        kind,
-        app,
-        cluster=cluster,
-        num_nodes=num_nodes,
-        values=values,
-        workload=workload,
-        protocols=protocols,
-        sanitize=sanitize,
-    )
-
-
-def sweep_page_size(
-    app: str,
-    cluster="myrinet",
-    num_nodes: int = 4,
-    page_sizes: Sequence[int] = ABLATIONS["page_size"].default_values,
-    workload=None,
-    protocols: Iterable[str] = ("java_ic", "java_pf"),
-    session: Session | None = None,
-    sanitize: bool = False,
-) -> SweepResult:
-    """Deprecated: use ``Session.ablation("page_size", ...)``."""
-    return _legacy_ablation(
-        "page_size", app, cluster, num_nodes, page_sizes, workload, protocols,
-        session, sanitize,
-    )
-
-
-def sweep_check_cost(
-    app: str,
-    cluster="myrinet",
-    num_nodes: int = 4,
-    check_cycles: Sequence[float] = ABLATIONS["check_cost"].default_values,
-    workload=None,
-    protocols: Iterable[str] = ("java_ic", "java_pf"),
-    session: Session | None = None,
-    sanitize: bool = False,
-) -> SweepResult:
-    """Deprecated: use ``Session.ablation("check_cost", ...)``."""
-    return _legacy_ablation(
-        "check_cost", app, cluster, num_nodes, check_cycles, workload, protocols,
-        session, sanitize,
-    )
-
-
-def sweep_threads_per_node(
-    app: str,
-    cluster="myrinet",
-    num_nodes: int = 4,
-    threads_per_node: Sequence[int] = ABLATIONS["threads"].default_values,
-    workload=None,
-    protocols: Iterable[str] = ("java_ic", "java_pf"),
-    session: Session | None = None,
-    sanitize: bool = False,
-) -> SweepResult:
-    """Deprecated: use ``Session.ablation("threads", ...)``."""
-    return _legacy_ablation(
-        "threads", app, cluster, num_nodes, threads_per_node, workload, protocols,
-        session, sanitize,
-    )
-
-
-def sweep_balancer(
-    app: str,
-    cluster="myrinet",
-    num_nodes: int = 4,
-    policies: Sequence[str] = ABLATIONS["balancer"].default_values,
-    workload=None,
-    protocols: Iterable[str] = ("java_ic", "java_pf"),
-    session: Session | None = None,
-    sanitize: bool = False,
-) -> SweepResult:
-    """Deprecated: use ``Session.ablation("balancer", ...)``."""
-    return _legacy_ablation(
-        "balancer", app, cluster, num_nodes, policies, workload, protocols,
-        session, sanitize,
-    )
-
-
-#: kind -> deprecated wrapper name (for the shims' own warning text)
-ABLATION_SHIMS: dict[str, str] = {
-    "page_size": "sweep_page_size",
-    "check_cost": "sweep_check_cost",
-    "threads": "sweep_threads_per_node",
-    "balancer": "sweep_balancer",
-}
-
-#: name -> sweep function; historical mapping kept for callers that dispatch
-#: through it (the CLI now dispatches through :data:`ABLATIONS`)
-SWEEPS: dict[str, Callable[..., SweepResult]] = {
-    "page_size": sweep_page_size,
-    "check_cost": sweep_check_cost,
-    "threads": sweep_threads_per_node,
-    "balancer": sweep_balancer,
-}

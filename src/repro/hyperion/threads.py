@@ -141,8 +141,6 @@ class JavaThreadContext(AccessContext):
         # must never add or split a yield, or scheduling would change
         telemetry = runtime.telemetry
         self._spans = telemetry.spans if telemetry is not None else None
-        # analytic fast-forward (opt-in per run; see Engine.try_fast_advance)
-        self._fast_forward = runtime.engine.fast_forward
 
     # ------------------------------------------------------------------
     # identity / time
@@ -203,32 +201,20 @@ class JavaThreadContext(AccessContext):
         self._pending_cpu += total_cycles / self._freq + mem_seconds
 
     def _flush(self) -> Generator:
-        """Pay accumulated CPU and wait time on the simulation clock.
-
-        In fast-forward mode the Marcel ``try_*_fast`` twins are offered the
-        phase first; they price it analytically (identical accounting,
-        identical final clock) when the CPU is provably uncontended, and
-        refuse — falling back to the exact event path below — whenever any
-        other scheduled event could interleave.  Span attribution is shared
-        by both paths: the flush hooks observe the same amounts at the same
-        ``engine.now`` either way.
-        """
+        """Pay accumulated CPU and wait time on the simulation clock."""
         cpu, wait = self._pending_cpu, self._pending_wait
         self._pending_cpu = 0.0
         self._pending_wait = 0.0
         spans = self._spans
         marcel = self.runtime.marcel
-        fast = self._fast_forward
         if cpu > 0.0:
             self.runtime.run_stats.record_cpu(self.node_id, cpu)
-            if not (fast and marcel.try_occupy_cpu_fast(self.thread.marcel, cpu)):
-                yield from marcel.occupy_cpu(self.thread.marcel, cpu)
+            yield from marcel.occupy_cpu(self.thread.marcel, cpu)
             if spans is not None:
                 spans.flush_cpu(self.thread.name, cpu, self.runtime.engine.now)
         if wait > 0.0:
             self.runtime.run_stats.record_wait(self.node_id, wait)
-            if not (fast and marcel.try_wait_fast(self.thread.marcel, wait)):
-                yield from marcel.wait(self.thread.marcel, wait)
+            yield from marcel.wait(self.thread.marcel, wait)
             if spans is not None:
                 spans.flush_wait(self.thread.name, wait, self.runtime.engine.now)
 

@@ -130,34 +130,6 @@ class MarcelRuntime:
         thread.cpu_seconds += seconds
         cpu.lock.release()
 
-    def try_occupy_cpu_fast(self, thread: MarcelThread, seconds: float) -> bool:
-        """Analytic :meth:`occupy_cpu`: price the phase without engine events.
-
-        Succeeds only when the outcome is provably identical to the event
-        path: the node CPU must be free (no holder, no waiters — so the
-        elided acquire would have succeeded immediately) and the engine must
-        accept a fast advance to ``now + seconds`` (fast-forward mode on, no
-        trace, and no other event scheduled at or before that time, so no
-        other thread could have contended for the CPU mid-phase).  On
-        success the same accounting as :meth:`occupy_cpu` is applied and two
-        events (lock grant + timeout) are elided.  Returns ``False`` —
-        with no state touched — whenever exact simulation is required.
-        """
-        check_non_negative("seconds", seconds)
-        if seconds == 0.0:
-            return True
-        cpu = self.cpus[thread.node_id]
-        lock = cpu.lock
-        if lock._holder is not None or lock._waiters:
-            return False
-        engine = self.engine
-        if not engine.try_fast_advance(engine._now + seconds, events=2):
-            return False
-        lock.acquisitions += 1
-        cpu.charge(seconds)
-        thread.cpu_seconds += seconds
-        return True
-
     def wait(self, thread: MarcelThread, seconds: float) -> Generator:
         """Block *thread* for *seconds* without holding the CPU."""
         check_non_negative("seconds", seconds)
@@ -165,21 +137,6 @@ class MarcelRuntime:
             return
         thread.wait_seconds += seconds
         yield self.engine.timeout(seconds)
-
-    def try_wait_fast(self, thread: MarcelThread, seconds: float) -> bool:
-        """Analytic :meth:`wait`: elide the timeout when nothing can intervene.
-
-        Same contract as :meth:`try_occupy_cpu_fast`, for the CPU-less delay:
-        on success ``wait_seconds`` is accounted and one timeout is elided.
-        """
-        check_non_negative("seconds", seconds)
-        if seconds == 0.0:
-            return True
-        engine = self.engine
-        if not engine.try_fast_advance(engine._now + seconds, events=1):
-            return False
-        thread.wait_seconds += seconds
-        return True
 
     def join(self, thread: MarcelThread) -> Generator:
         """Wait for *thread* to finish; returns its body's return value."""

@@ -11,12 +11,7 @@ from repro.harness.calibration import (
     calibrate,
 )
 from repro.harness.cli import main as cli_main
-from repro.harness.sweep import (
-    sweep_balancer,
-    sweep_check_cost,
-    sweep_page_size,
-    sweep_threads_per_node,
-)
+from repro.harness.session import Session
 
 
 def test_published_constants_check_passes():
@@ -39,11 +34,12 @@ def test_calibrate_single_app_runs():
     assert "calibration" in report.render()
 
 
-def test_sweep_check_cost_finds_crossover(testing_preset):
-    result = sweep_check_cost(
+def test_check_cost_ablation_finds_crossover(testing_preset):
+    result = Session().ablation(
+        "check_cost",
         "asp",
         num_nodes=1,
-        check_cycles=(0.0001, 64.0),
+        values=(0.0001, 64.0),
         workload=WorkloadPreset.bench().asp,
     )
     # with a (nearly) free check java_ic wins; with a very expensive one it loses
@@ -56,24 +52,26 @@ def test_sweep_check_cost_finds_crossover(testing_preset):
     assert "inline_check_cycles" in result.render()
 
 
-def test_sweep_page_size_runs(testing_preset):
-    result = sweep_page_size(
-        "jacobi", num_nodes=2, page_sizes=(2048, 8192), workload=testing_preset.jacobi
+def test_page_size_ablation_runs(testing_preset):
+    result = Session().ablation(
+        "page_size", "jacobi", num_nodes=2, values=(2048, 8192),
+        workload=testing_preset.jacobi,
     )
     assert len(result.times) == 4
     assert all(t > 0 for t in result.times.values())
 
 
-def test_sweep_threads_per_node(testing_preset):
-    result = sweep_threads_per_node(
-        "jacobi", num_nodes=2, threads_per_node=(1, 2), workload=testing_preset.jacobi
+def test_threads_ablation_runs(testing_preset):
+    result = Session().ablation(
+        "threads", "jacobi", num_nodes=2, values=(1, 2), workload=testing_preset.jacobi
     )
     assert set(v for _, v in result.times) == {1, 2}
 
 
-def test_sweep_balancer(testing_preset):
-    result = sweep_balancer(
-        "barnes", num_nodes=2, policies=("round_robin", "block"), workload=testing_preset.barnes
+def test_balancer_ablation_runs(testing_preset):
+    result = Session().ablation(
+        "balancer", "barnes", num_nodes=2, values=("round_robin", "block"),
+        workload=testing_preset.barnes,
     )
     assert ("java_pf", "round_robin") in result.times
 

@@ -45,7 +45,6 @@ def _spec(
     protocol: str,
     trace: bool = False,
     cluster: str = "myrinet",
-    fast_forward: bool = False,
 ) -> ExperimentSpec:
     return ExperimentSpec(
         app=app,
@@ -54,7 +53,6 @@ def _spec(
         num_nodes=4,
         workload=WorkloadPreset.testing(),
         config=RuntimeConfig(trace=trace),
-        fast_forward=fast_forward,
     )
 
 
@@ -174,55 +172,3 @@ def test_run_spec_is_reproducible():
     assert _payload(first) == _payload(second)
     assert first.events_processed == second.events_processed
     assert first.events_processed > 0
-
-
-# ---------------------------------------------------------------------------
-# analytic fast-forward: an accounting mode, never a result mode
-# ---------------------------------------------------------------------------
-#: fast-forward determinism covers the full protocol family on both the paper
-#: apps and the run-heavy scenarios (streaming exercises the pre-grouped
-#: batched ops; the pair below exercises barrier- and monitor-heavy replay)
-FF_PROTOCOLS = ("java_ic", "java_pf", "java_ic_hoisted", "java_hybrid", "java_ic_mig", "java_ic_loc")
-FF_SCENARIO_APPS = SCENARIO_APPS + ("syn-streaming",)
-
-
-@pytest.mark.parametrize("protocol", FF_PROTOCOLS)
-@pytest.mark.parametrize("app", APPS + list(FF_SCENARIO_APPS))
-def test_fast_forward_identical(app, protocol):
-    """Fast-forward elides events but must not move a single byte."""
-    exact = run_spec(_spec(app, protocol))
-    ff = run_spec(_spec(app, protocol, fast_forward=True))
-    assert _payload(exact) == _payload(ff)
-    # the elided events are accounted: together the two paths agree on the
-    # total event volume of the run
-    assert exact.events_processed == ff.events_processed + ff.events_fast_forwarded
-
-
-@pytest.mark.parametrize("cluster", TOPOLOGY_CLUSTERS)
-@pytest.mark.parametrize("protocol", TOPOLOGY_PROTOCOLS)
-def test_topology_fast_forward_identical(cluster, protocol):
-    """Fast-forward honours the contract on non-uniform cluster shapes."""
-    for app in ("jacobi", "syn-streaming"):
-        exact = run_spec(_spec(app, protocol, cluster=cluster))
-        ff = run_spec(_spec(app, protocol, cluster=cluster, fast_forward=True))
-        assert _payload(exact) == _payload(ff), (app, cluster, protocol)
-
-
-def test_fast_forward_elides_events_somewhere():
-    """The mode must actually engage (contention-free compute gets elided)."""
-    total = 0
-    for app in ("pi", "asp"):
-        total += run_spec(_spec(app, "java_ic", fast_forward=True)).events_fast_forwarded
-    assert total > 0
-
-
-def test_fast_forward_does_not_change_the_cache_key():
-    """Cache keys must not distinguish accounting modes (same results)."""
-    assert _spec("asp", "java_ic").cache_key() == _spec("asp", "java_ic", fast_forward=True).cache_key()
-
-
-def test_fast_forward_refused_under_trace():
-    """A traced run needs every event: fast-forward must stand down."""
-    report = run_spec(_spec("pi", "java_ic", trace=True, fast_forward=True))
-    assert report.events_fast_forwarded == 0
-    assert _payload(report) == _payload(run_spec(_spec("pi", "java_ic")))

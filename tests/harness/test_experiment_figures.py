@@ -3,7 +3,8 @@
 import pytest
 
 from repro.apps.workloads import WorkloadPreset
-from repro.harness.experiment import ExperimentCell, run_cell, run_comparison
+from repro.harness.session import Session
+from repro.harness.spec import ExperimentSpec
 from repro.harness.figures import (
     FIGURE_APPS,
     figure_for_app,
@@ -26,25 +27,25 @@ def test_figure_app_mapping_matches_paper():
         generate_figure(9)
 
 
-def test_run_cell_returns_report_and_verifies(testing):
-    report = run_cell("pi", "myrinet", "java_pf", 2, workload=testing.pi, verify=True)
+def test_session_cell_returns_report_and_verifies(testing):
+    report = Session().cell("pi", "myrinet", "java_pf", 2, workload=testing.pi, verify=True)
     assert report.num_nodes == 2
     assert report.protocol == "java_pf"
     assert report.execution_seconds > 0
 
 
-def test_run_cell_accepts_preset_names(testing):
-    report = run_cell("pi", "sci", "java_ic", 1, workload="testing")
+def test_session_cell_accepts_preset_names(testing):
+    report = Session().cell("pi", "sci", "java_ic", 1, workload="testing")
     assert report.cluster == "sci"
 
 
 def test_experiment_cell_label():
-    cell = ExperimentCell(app="asp", cluster="sci", protocol="java_pf", num_nodes=3)
+    cell = ExperimentSpec(app="asp", cluster="sci", protocol="java_pf", num_nodes=3)
     assert cell.label() == "asp/sci/java_pf/n3"
 
 
-def test_run_comparison_series_and_improvement(testing):
-    comparison = run_comparison(
+def test_session_comparison_series_and_improvement(testing):
+    comparison = Session().comparison(
         "jacobi", "myrinet", node_counts=[1, 2], workload=testing.jacobi
     )
     ic = dict(comparison.series("java_ic"))

@@ -140,6 +140,42 @@ def test_truncated_shard_checkpoint_recomputes_only_that_shard(
     assert result.to_dict() == serial_dict
 
 
+def _cells_not_objects(path):
+    payload = json.loads(path.read_text())
+    payload["cells"] = [1, 2]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "filename, rewrite, recomputed",
+    [
+        # a non-object shard is corrupt: that shard alone recomputes
+        ("shard-0000.json", lambda path: [], 2),
+        # a non-object manifest counts as absent: every shard still resumes
+        ("job.json", lambda path: [1], 0),
+        # non-object cells make the shard corrupt too
+        ("shard-0001.json", _cells_not_objects, 2),
+    ],
+    ids=["shard-list", "manifest-list", "cells-not-objects"],
+)
+def test_wrong_shape_checkpoint_json_recomputes(
+    grid_specs, serial_dict, tmp_path, filename, rewrite, recomputed
+):
+    ckpt = tmp_path / "ckpt"
+    SweepJob(grid_specs, checkpoint_dir=ckpt, shard_size=2).run()
+    path = ckpt / filename
+    path.write_text(json.dumps(rewrite(path)))
+    job = SweepJob(grid_specs, checkpoint_dir=ckpt, shard_size=2, resume=True)
+    result = job.run()
+    assert job.progress.executed_cells == recomputed
+    assert job.progress.resumed_cells == len(grid_specs) - recomputed
+    assert json.dumps(result.to_dict(), sort_keys=True) == json.dumps(
+        serial_dict, sort_keys=True
+    )
+    # the damaged file was replaced by a well-formed one
+    assert isinstance(json.loads(path.read_text()), dict)
+
+
 def test_resume_against_foreign_checkpoints_is_an_error(grid_specs, tmp_path):
     ckpt = tmp_path / "ckpt"
     SweepJob(grid_specs, checkpoint_dir=ckpt, shard_size=2).run()

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.apps.workloads import WorkloadPreset
-from repro.harness.experiment import run_comparison
 from repro.harness.figures import generate_figure
 from repro.harness.report import improvement_summary, render_experiments_markdown
+from repro.harness.session import Session
 from tests.conftest import make_runtime
 
 
@@ -36,7 +36,7 @@ def test_improvement_summary_structure(small_figures):
 def test_hoisted_protocol_beats_plain_ic_on_array_code():
     """The check-hoisting variant recovers much of java_ic's per-element cost."""
     preset = WorkloadPreset.bench()
-    comparison = run_comparison(
+    comparison = Session().comparison(
         "jacobi",
         "myrinet",
         node_counts=[1],

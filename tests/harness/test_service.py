@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 import statistics
 import threading
 import time
@@ -196,6 +197,55 @@ def test_http_errors(server):
     assert _call(server, "POST", "/sweeps", {"apps": []})[0] == 400
     status, body = _call(server, "POST", "/sweeps", REQUEST | {"shard_size": -1})
     assert status == 400 and "shard_size" in body["error"]
+
+
+def _raw_post(server, head: str, body: bytes = b"") -> int:
+    """POST /sweeps with hand-written headers; returns the response status."""
+    host, port = server.server_address[:2]
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(
+            f"POST /sweeps HTTP/1.1\r\nHost: {host}\r\n{head}\r\n".encode() + body
+        )
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        response.read()
+        return response.status
+
+
+def _json_post(body: dict) -> tuple[str, bytes]:
+    data = json.dumps(body).encode()
+    return f"Content-Length: {len(data)}\r\n", data
+
+
+@pytest.mark.parametrize(
+    "head, body, status",
+    [
+        (*_json_post(REQUEST | {"protocols": 5}), 400),
+        (*_json_post(REQUEST | {"protocols": []}), 400),
+        (*_json_post(REQUEST | {"nodes": ["x"]}), 400),
+        (*_json_post(REQUEST | {"nodes": [0]}), 400),
+        (*_json_post(REQUEST | {"nodes": [True]}), 400),
+        (*_json_post(REQUEST | {"apps": [1]}), 400),
+        (*_json_post(REQUEST | {"clusters": "myrinet"}), 400),
+        (*_json_post(REQUEST | {"workload": 5}), 400),
+        ("Content-Length: abc\r\n", b"{}", 400),
+        ("Content-Length: -5\r\n", b"", 400),
+        ("", b"", 400),
+        # refused before a byte of the body is read (none is sent)
+        (f"Content-Length: {(1 << 20) + 1}\r\n", b"", 413),
+    ],
+    ids=[
+        "protocols-int", "protocols-empty", "nodes-str", "nodes-zero", "nodes-bool",
+        "apps-int", "clusters-str", "workload-int", "length-abc", "length-negative",
+        "length-missing", "body-too-large",
+    ],
+)
+def test_malformed_sweep_posts_get_an_error_status(server, head, body, status):
+    assert _raw_post(server, head, body) == status
+    # the server survives every malformed request
+    assert _call(server, "GET", "/health") == (
+        200, {"running": 0, "status": "ok", "sweeps": 0}
+    )
 
 
 def test_keep_alive_responses_do_not_stall(server):

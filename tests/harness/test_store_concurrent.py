@@ -107,6 +107,15 @@ def test_foreign_manifest_raises_schema_error(tmp_path):
         ResultStore(root)
 
 
+@pytest.mark.parametrize("content", ["[]", "[1]", '"hyperion-result-store"', "5", "null"])
+def test_non_object_manifest_raises_schema_error(tmp_path, content):
+    root = tmp_path / "store"
+    ResultStore(root)
+    (root / MANIFEST_NAME).write_text(content)
+    with pytest.raises(StoreSchemaError, match="not an object"):
+        ResultStore(root)
+
+
 def test_stale_entry_schema_is_a_miss(tmp_path):
     store = ResultStore(tmp_path / "store")
     spec = _spec()

@@ -8,16 +8,17 @@ stay fast while exercising the full stack.
 import pytest
 
 from repro.apps.workloads import WorkloadPreset
-from repro.harness.experiment import run_comparison
+from repro.harness.session import Session
 
 BENCH = WorkloadPreset.bench()
+SESSION = Session()
 
 
 @pytest.fixture(scope="module")
 def myrinet_one_node():
     """Single-node comparison on the Myrinet cluster for every benchmark."""
     return {
-        app: run_comparison(app, "myrinet", node_counts=[1], workload=BENCH.workload_for(app))
+        app: SESSION.comparison(app, "myrinet", node_counts=[1], workload=BENCH.workload_for(app))
         for app in ("pi", "jacobi", "barnes", "tsp", "asp")
     }
 
@@ -49,7 +50,7 @@ def test_improvement_ordering_matches_paper(myrinet_one_node):
 
 def test_barnes_improvement_decreases_with_nodes():
     """Claim 3: Barnes' improvement shrinks as nodes are added."""
-    comparison = run_comparison(
+    comparison = SESSION.comparison(
         "barnes", "myrinet", node_counts=[1, 4, 8], workload=BENCH.barnes
     )
     improvements = comparison.improvements()
@@ -59,7 +60,7 @@ def test_barnes_improvement_decreases_with_nodes():
 
 def test_jacobi_improvement_roughly_constant_with_nodes():
     """Claim 3b: for Jacobi the improvement barely changes with node count."""
-    comparison = run_comparison(
+    comparison = SESSION.comparison(
         "jacobi", "myrinet", node_counts=[1, 4, 8], workload=BENCH.jacobi
     )
     improvements = list(comparison.improvements().values())
@@ -69,10 +70,10 @@ def test_jacobi_improvement_roughly_constant_with_nodes():
 def test_sci_improvement_smaller_than_myrinet():
     """Claim 4: the faster SCI-cluster CPUs make the checks matter less."""
     for app in ("jacobi", "asp"):
-        myrinet = run_comparison(
+        myrinet = SESSION.comparison(
             app, "myrinet", node_counts=[1], workload=BENCH.workload_for(app)
         ).improvement_percent(1)
-        sci = run_comparison(
+        sci = SESSION.comparison(
             app, "sci", node_counts=[1], workload=BENCH.workload_for(app)
         ).improvement_percent(1)
         assert sci < myrinet, app
@@ -81,7 +82,7 @@ def test_sci_improvement_smaller_than_myrinet():
 def test_execution_time_decreases_with_nodes():
     """Basic scalability: more nodes means less simulated time (compute-bound apps)."""
     for app in ("pi", "jacobi", "asp"):
-        comparison = run_comparison(
+        comparison = SESSION.comparison(
             app, "myrinet", node_counts=[1, 4], workload=BENCH.workload_for(app)
         )
         series = dict(comparison.series("java_pf"))
@@ -89,7 +90,7 @@ def test_execution_time_decreases_with_nodes():
 
 
 def test_fault_counts_only_under_java_pf():
-    comparison = run_comparison(
+    comparison = SESSION.comparison(
         "jacobi", "myrinet", node_counts=[2], workload=BENCH.jacobi
     )
     ic_stats = comparison.report("java_ic", 2).stats.dsm
